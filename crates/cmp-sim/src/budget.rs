@@ -150,17 +150,42 @@ fn host_parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// `ICP_CORES` environment override (ignored unless a positive integer).
-fn env_total() -> Option<usize> {
-    std::env::var("ICP_CORES").ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
+/// Parses an `ICP_CORES` value against the host's core count `host`.
+/// A positive integer is the budget total, even above `host` (an
+/// oversubscribed budget is a legitimate choice and results do not
+/// depend on it). Anything else falls back to `host`, with the warning
+/// to print naming the rejected value and the fallback.
+fn parse_cores(raw: &str, host: usize) -> (usize, Option<String>) {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => (n, None),
+        _ => (
+            host,
+            Some(format!(
+                "ICP_CORES={raw:?} is not a positive integer; using {host} host cores"
+            )),
+        ),
+    }
 }
 
 static GLOBAL: OnceLock<Arc<CoreBudget>> = OnceLock::new();
 
 /// The process-wide budget: `ICP_CORES` if set, else host cores —
-/// initialised on first use, or earlier by [`configure_total`].
+/// initialised on first use, or earlier by [`configure_total`]. A bad
+/// `ICP_CORES` value is reported on stderr, never silently ignored.
 pub fn global() -> &'static Arc<CoreBudget> {
-    GLOBAL.get_or_init(|| CoreBudget::new(env_total().unwrap_or_else(host_parallelism)))
+    GLOBAL.get_or_init(|| {
+        let total = match std::env::var("ICP_CORES") {
+            Ok(raw) => {
+                let (total, warning) = parse_cores(&raw, host_parallelism());
+                if let Some(w) = warning {
+                    eprintln!("warning: {w}");
+                }
+                total
+            }
+            Err(_) => host_parallelism(),
+        };
+        CoreBudget::new(total)
+    })
 }
 
 /// Installs `total` as the process-wide budget (the binaries' `--jobs`
@@ -265,6 +290,25 @@ mod tests {
         });
         // Out of scope: back to the global (whatever it is, not ours).
         assert!(!Arc::ptr_eq(&current(), &outer));
+    }
+
+    #[test]
+    fn icp_cores_parse_accepts_positive_integers() {
+        assert_eq!(parse_cores("3", 2), (3, None));
+        assert_eq!(parse_cores(" 1\n", 8), (1, None), "surrounding whitespace is tolerated");
+        // Far above the host: an oversubscribed budget, taken as given.
+        assert_eq!(parse_cores("4096", 2), (4096, None));
+    }
+
+    #[test]
+    fn icp_cores_parse_rejects_nonsense_with_a_named_fallback() {
+        for raw in ["0", "abc", "-3", "", "2.5", "99999999999999999999999"] {
+            let (total, warning) = parse_cores(raw, 6);
+            assert_eq!(total, 6, "{raw:?} falls back to the host cores");
+            let w = warning.unwrap_or_else(|| panic!("{raw:?} must warn"));
+            assert!(w.contains(&format!("{raw:?}")), "warning names the value: {w}");
+            assert!(w.contains("using 6 host cores"), "warning names the fallback: {w}");
+        }
     }
 
     #[test]

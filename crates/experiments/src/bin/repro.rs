@@ -45,13 +45,33 @@ use icp_workloads::WorkloadScale;
 fn emit(out_dir: Option<&Path>, id: &str, table: &Table) {
     println!("{}", table.render());
     if let Some(dir) = out_dir {
-        let _ = fs::write(dir.join(format!("{id}.txt")), table.render());
-        let _ = fs::write(dir.join(format!("{id}.csv")), table.to_csv());
-        let _ = fs::write(
-            dir.join(format!("{id}.json")),
+        write_file(&dir.join(format!("{id}.txt")), table.render());
+        write_file(&dir.join(format!("{id}.csv")), table.to_csv());
+        write_file(
+            &dir.join(format!("{id}.json")),
             icp_experiments::json::table_to_json(table).to_string(),
         );
     }
+}
+
+/// Writes `contents` to `path`; on failure prints the path and the error
+/// and exits nonzero, so a run never reports success without its output.
+fn write_file(path: &Path, contents: impl AsRef<[u8]>) {
+    if let Err(e) = fs::write(path, contents) {
+        eprintln!("[repro] cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
+/// Creates the `results/` output directory (exiting nonzero if it cannot
+/// be created) and returns its path.
+fn results_dir() -> &'static Path {
+    let dir = Path::new("results");
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("[repro] cannot create {}: {e}", dir.display());
+        std::process::exit(1);
+    }
+    dir
 }
 
 /// Pulls `--flag value` out of the argument list, returning the remainder.
@@ -138,9 +158,8 @@ fn main() {
 
     if args.iter().any(|a| a == "robustness") {
         eprintln!("[repro] running the suite under 5 seeds ...");
-        let _ = fs::create_dir_all("results");
         emit(
-            Some(Path::new("results")),
+            Some(results_dir()),
             "robustness",
             &figures::robustness_table(&cfg, &[1, 42, 1337, 9999, 31_415_926]),
         );
@@ -176,8 +195,7 @@ fn main() {
             &figures::improvement_chart("Figure 20 (chart): dynamic vs shared", &data, &data.shared)
                 .render(),
         );
-        let _ = fs::create_dir_all("results");
-        let _ = fs::write("results/REPORT.md", &doc);
+        write_file(&results_dir().join("REPORT.md"), &doc);
         println!("{doc}");
         eprintln!("[repro] written to results/REPORT.md");
         return;
@@ -210,8 +228,7 @@ fn main() {
             None => icp_experiments::ResultCache::shared(),
         };
         let cfg = cfg.with_result_cache(cache.clone()).with_default_trace_cache();
-        let _ = fs::create_dir_all("results");
-        let out = Some(Path::new("results"));
+        let out = Some(results_dir());
         eprintln!("[repro] running sensitivity sweeps ({mode:?}) ...");
         let run_axis = |name: &str| match name {
             "cache-size" => emit(out, "sweep_cache_size", &sweeps::sweep_cache_size_with(&cfg, mode)),
@@ -261,8 +278,7 @@ fn main() {
         let errors = figures::prediction_errors(&cfg);
         let table = figures::prediction_error_table(&cfg);
         println!("{}", table.render());
-        let _ = fs::create_dir_all("results");
-        emit(Some(Path::new("results")), "prediction_error", &table);
+        emit(Some(results_dir()), "prediction_error", &table);
         if let Some(limit) = max_mean {
             if errors.mean_pct() > limit {
                 eprintln!(
@@ -398,11 +414,10 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "mechanism") {
-        let _ = fs::create_dir_all("results");
         eprintln!("[repro] comparing way vs set partitioning ...");
-        emit(Some(Path::new("results")), "mechanism", &figures::mechanism_table(&cfg));
+        emit(Some(results_dir()), "mechanism", &figures::mechanism_table(&cfg));
         emit(
-            Some(Path::new("results")),
+            Some(results_dir()),
             "mechanism_banked",
             &figures::mechanism_banked_table(&cfg, 8),
         );
@@ -410,16 +425,14 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "overhead") {
-        let _ = fs::create_dir_all("results");
-        emit(Some(Path::new("results")), "overhead", &figures::overhead_table(&cfg));
+        emit(Some(results_dir()), "overhead", &figures::overhead_table(&cfg));
         return;
     }
 
     if args.iter().any(|a| a == "slack") {
         eprintln!("[repro] running suite under 4 schemes ...");
         let data = SuiteData::collect(&cfg);
-        let _ = fs::create_dir_all("results");
-        let out = Some(Path::new("results"));
+        let out = Some(results_dir());
         emit(out, "slack_table", &figures::slack_table(&data));
         emit(out, "slack_critical_cpi_swim", &figures::critical_cpi_distribution(&data, "swim"));
         return;
@@ -429,8 +442,7 @@ fn main() {
         let checks = scorecard::run_scorecard(&cfg);
         let table = scorecard::scorecard_table(&checks);
         println!("{}", table.render());
-        let _ = fs::create_dir_all("results");
-        let _ = fs::write("results/scorecard.txt", table.render());
+        write_file(&results_dir().join("scorecard.txt"), table.render());
         let failed = checks.iter().filter(|c| !c.pass()).count();
         if failed > 0 {
             eprintln!("{failed} claim(s) out of band");
@@ -444,8 +456,7 @@ fn main() {
         let checks = scorecard::eight_plus_core_tier(&cfg);
         let table = scorecard::scorecard_table(&checks);
         println!("{}", table.render());
-        let _ = fs::create_dir_all("results");
-        let _ = fs::write("results/eight_plus_core.txt", table.render());
+        write_file(&results_dir().join("eight_plus_core.txt"), table.render());
         let failed = checks.iter().filter(|c| !c.pass()).count();
         if failed > 0 {
             eprintln!("{failed} claim(s) out of band");
@@ -457,9 +468,7 @@ fn main() {
     let all = args.iter().any(|a| a == "all");
     let wants = |f: &str| all || args.iter().any(|a| a == f);
 
-    let out_dir = Path::new("results");
-    let _ = fs::create_dir_all(out_dir);
-    let out_dir = Some(out_dir);
+    let out_dir = Some(results_dir());
 
     if wants("fig2") {
         emit(out_dir, "fig02_config", &figures::fig02_config(&cfg.system));

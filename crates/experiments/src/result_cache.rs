@@ -21,13 +21,14 @@
 //! Determinism contract: the simulator is bit-deterministic, so a cached
 //! outcome is byte-identical to the simulation it replaces (`f64` values
 //! round-trip exactly through the shortest-representation JSON writer).
-//! The map is a `BTreeMap` — iteration order (e.g. [`ResultCache::totals`])
-//! is key order, never hash order.
+//! Lookups are single-flight (the crate's `single_flight` map, shared with
+//! the trace cache): a key requested by several workers at once runs once
+//! and the others wait for it. The map is a `BTreeMap` — iteration order (e.g.
+//! [`ResultCache::totals`]) is key order, never hash order.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use icp_cmp_sim::stats::{InteractionStats, ThreadCounters};
 use icp_cmp_sim::UmonProfile;
@@ -37,6 +38,7 @@ use icp_workloads::BenchmarkSpec;
 
 use crate::json::Json;
 use crate::runner::{ExperimentConfig, Scheme};
+use crate::single_flight::SingleFlight;
 
 /// Schema tag of the persisted entry files; bump when the outcome layout
 /// changes so stale files invalidate themselves.
@@ -67,7 +69,7 @@ pub struct CacheTotals {
 /// property.
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    entries: Mutex<BTreeMap<String, Arc<ExecutionOutcome>>>,
+    entries: SingleFlight<Arc<ExecutionOutcome>>,
     dir: Option<PathBuf>,
     simulations: AtomicU64,
     hits: AtomicU64,
@@ -111,37 +113,34 @@ impl ResultCache {
 
     /// Returns the outcome for `key`, running `simulate` on a miss.
     ///
-    /// Lookup checks memory, then disk (when persistent). Simulation runs
-    /// *outside* the lock so parallel scheme runs with distinct keys never
-    /// serialise; keys within one figures/sweeps pass are distinct, so no
-    /// work is duplicated in practice.
+    /// Lookup checks memory, then disk (when persistent). The lookup is
+    /// single-flight: the first caller claims the key and loads or
+    /// simulates outside the lock, so distinct keys never serialise, and
+    /// a caller racing on the same key (a sweep wave can hold one key
+    /// several times) waits for that result and counts as a hit. If
+    /// `simulate` panics the claim is released and the next caller runs
+    /// it again.
     pub fn get_or_run(
         &self,
         key: String,
         scheme_name: &'static str,
         simulate: impl FnOnce() -> ExecutionOutcome,
     ) -> ExecutionOutcome {
-        {
-            let map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(out) = map.get(&key) {
+        let (out, claimed) = self.entries.run_once(&key, || {
+            if let Some(out) = self.load(&key, scheme_name) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return ExecutionOutcome::clone(out);
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::new(out);
             }
-        }
-        if let Some(out) = self.load(&key, scheme_name) {
+            let out = simulate();
+            self.simulations.fetch_add(1, Ordering::Relaxed);
+            self.store(&key, &out);
+            Arc::new(out)
+        });
+        if !claimed {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            let out = Arc::new(out);
-            let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-            map.insert(key, Arc::clone(&out));
-            return ExecutionOutcome::clone(&out);
         }
-        let out = simulate();
-        self.simulations.fetch_add(1, Ordering::Relaxed);
-        self.store(&key, &out);
-        let mut map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        map.insert(key, Arc::new(out.clone()));
-        out
+        ExecutionOutcome::clone(&out)
     }
 
     /// Number of simulations executed (cache misses).
@@ -167,7 +166,7 @@ impl ResultCache {
 
     /// Number of cached outcomes (in memory).
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.entries.fold_ready(0, |n, _| n + 1)
     }
 
     /// True when nothing has been cached yet.
@@ -177,10 +176,8 @@ impl ResultCache {
 
     /// Aggregate counters over the cached outcomes, folded in key order.
     pub fn totals(&self) -> CacheTotals {
-        let map = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut t = CacheTotals::default();
         // ORDER: folded in BTreeMap key order — deterministic by contract.
-        for out in map.values() {
+        self.entries.fold_ready(CacheTotals::default(), |mut t, out| {
             let mut acc = out.wall_cycles;
             for c in &out.thread_totals {
                 t.accesses += c.l1_hits + c.l1_misses;
@@ -194,8 +191,8 @@ impl ResultCache {
             }
             t.sim_cycles += out.wall_cycles;
             t.digest = t.digest.wrapping_mul(1_000_003).wrapping_add(acc);
-        }
-        t
+            t
+        })
     }
 
     /// The file a key persists under: scheme-prefixed so one scheme's
@@ -611,5 +608,143 @@ mod tests {
         let t2 = cache.totals();
         assert!(t2.sim_cycles > t.sim_cycles);
         assert_ne!(t2.digest, t.digest);
+    }
+
+    /// A cheap stand-in outcome for the concurrency tests (no simulation).
+    fn stub(wall: u64) -> ExecutionOutcome {
+        ExecutionOutcome {
+            scheme: "shared",
+            wall_cycles: wall,
+            records: Vec::new(),
+            thread_totals: Vec::new(),
+            interactions: InteractionStats::default(),
+            decision_count: 0,
+            decision_nanos: 0,
+            umon_profile: None,
+        }
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// finished within `secs` (a lost wake-up would otherwise hang).
+    fn within<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(out) => {
+                worker.join().unwrap();
+                out
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("cache calls did not finish within {secs} s"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+        }
+    }
+
+    /// `n` threads released together by a barrier, each calling
+    /// `get_or_run(key, "shared", simulate)`; returns their wall cycles.
+    fn race(
+        cache: &Arc<ResultCache>,
+        n: usize,
+        simulate: fn() -> ExecutionOutcome,
+    ) -> Vec<u64> {
+        let cache = Arc::clone(cache);
+        within(30, move || {
+            let start = std::sync::Barrier::new(n);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..n)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            cache.get_or_run("k".into(), "shared", simulate).wall_cycles
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        })
+    }
+
+    #[test]
+    fn racing_callers_on_one_key_simulate_once() {
+        const N: usize = 8;
+        let cache = ResultCache::shared();
+        let walls = race(&cache, N, || {
+            // The counts hold in any interleaving; holding the claim makes
+            // the contended one likely.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            stub(42)
+        });
+        assert_eq!(walls, vec![42; N], "every caller gets the one result");
+        assert_eq!(cache.simulations(), 1);
+        assert_eq!(cache.hits(), N as u64 - 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_simulation_releases_its_claim() {
+        let cache = ResultCache::shared();
+        let out = within(30, {
+            let cache = Arc::clone(&cache);
+            move || {
+                std::thread::scope(|s| {
+                    let (claimed_tx, claimed_rx) = std::sync::mpsc::channel();
+                    let first = s.spawn(|| {
+                        cache.get_or_run("k".into(), "shared", move || {
+                            claimed_tx.send(()).unwrap();
+                            // Give the second caller time to park on the claim
+                            // (if it arrives after the release it simply claims).
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            panic!("simulation failed");
+                        })
+                    });
+                    claimed_rx.recv().unwrap();
+                    let second = cache.get_or_run("k".into(), "shared", || stub(7));
+                    assert!(first.join().is_err(), "the first caller's panic propagates");
+                    second
+                })
+            }
+        });
+        assert_eq!(out.wall_cycles, 7, "the waiter re-ran the simulation");
+        assert_eq!(cache.simulations(), 1);
+        assert_eq!(cache.hits(), 0);
+        // The key is now published: a third caller hits.
+        assert_eq!(cache.get_or_run("k".into(), "shared", || stub(9)).wall_cycles, 7);
+        assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn a_disk_hit_claims_the_key_so_the_file_is_read_once() {
+        const N: usize = 6;
+        let dir =
+            std::env::temp_dir().join(format!("icp-result-cache-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = ResultCache::persistent(&dir);
+        cold.get_or_run("k".into(), "shared", || {
+            // A few thousand interval records make the file slow enough to
+            // parse that the racing readers overlap.
+            let record = IntervalRecord {
+                index: 0,
+                ways: vec![16; 4],
+                cpi: vec![1.5; 4],
+                l2_misses: vec![3; 4],
+                instructions: vec![1000; 4],
+                overall_cpi: 1.5,
+                wall_cycles: 4000,
+            };
+            ExecutionOutcome { records: vec![record; 4000], ..stub(11) }
+        });
+        assert_eq!(cold.simulations(), 1);
+
+        let warm = ResultCache::persistent(&dir);
+        let walls = race(&warm, N, || panic!("must load from disk"));
+        assert_eq!(walls, vec![11; N]);
+        assert_eq!(warm.simulations(), 0);
+        assert_eq!(warm.disk_hits(), 1, "one reader loads the file, the rest wait for it");
+        assert_eq!(warm.hits(), N as u64);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

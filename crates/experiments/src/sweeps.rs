@@ -6,6 +6,23 @@
 //! size or interval length. Each sweep runs a probe subset of the suite
 //! under shared / static-equal / model-based and reports the dynamic
 //! scheme's improvements at every point.
+//!
+//! Each axis is planned as a whole and runs in two scheduled waves
+//! ([`crate::sched::weighted_map`], longest job first by
+//! [`crate::sched::job_cost`]):
+//!
+//! 1. **Profiles** ([`SweepMode::Fast`] only): one profiled run per
+//!    (point, probe) cell, each feeding the analytical predictor.
+//! 2. **Exact cells**: every cell the predictor cannot settle (and every
+//!    cell in [`SweepMode::Exact`]) runs as three simulations — shared and
+//!    static-equal under the point's baseline configuration, model-based
+//!    under the point itself.
+//!
+//! Rows are then assembled in point order. The set of simulated cells is
+//! the one a cell-by-cell walk would simulate, so tables and the result
+//! cache's contents are the same at every core budget. A wave may request
+//! one key several times (the interval axis's hoisted baselines); the
+//! single-flight result cache runs it once and serves the rest as hits.
 
 use icp_cmp_sim::CacheConfig;
 use icp_numeric::stats;
@@ -13,6 +30,7 @@ use icp_workloads::{suite, BenchmarkSpec};
 
 use crate::miss_model::BenchPredictor;
 use crate::runner::{ExperimentConfig, Scheme};
+use crate::sched;
 use crate::table::{pct, Table};
 
 /// Default fast-mode fallback margin, in improvement percentage points: a
@@ -50,26 +68,21 @@ fn probes() -> Vec<icp_workloads::BenchmarkSpec> {
     vec![suite::swim(), suite::cg(), suite::ft()]
 }
 
-/// Exact improvements for one probe: baselines run under `baseline` (the
-/// hoisted configuration — identical to `point` except on the interval
-/// axis, where static-scheme walls are interval-invariant, see
-/// `static_scheme_walls_are_interval_invariant`), the dynamic scheme under
-/// `point`.
-fn measure_exact(
-    point: &ExperimentConfig,
-    baseline: &ExperimentConfig,
-    bench: &BenchmarkSpec,
-) -> (f64, f64) {
-    let jobs = vec![
-        (baseline.clone(), Scheme::Shared),
-        (baseline.clone(), Scheme::StaticEqual),
-        (point.clone(), Scheme::ModelBased),
-    ];
-    let outs = crate::sched::parallel_map(jobs, |(cfg, s)| cfg.run(bench, s));
-    (
-        outs[2].improvement_percent_over(&outs[0]),
-        outs[2].improvement_percent_over(&outs[1]),
-    )
+/// One axis point: the configuration the dynamic scheme runs under, and
+/// the one its static baselines and fast-path profile run under. The two
+/// are identical except on the interval axis, where static-scheme walls
+/// are interval-invariant (see `static_scheme_walls_are_interval_invariant`)
+/// and the baselines are hoisted to the base interval.
+struct AxisPoint {
+    point: ExperimentConfig,
+    baseline: ExperimentConfig,
+}
+
+impl AxisPoint {
+    /// A point whose baselines run under the point itself.
+    fn at(cfg: ExperimentConfig) -> Self {
+        AxisPoint { point: cfg.clone(), baseline: cfg }
+    }
 }
 
 /// The static scheme the fast path profiles at: the flat equal split on
@@ -92,50 +105,95 @@ fn profile_anchor(point: &ExperimentConfig) -> Scheme {
     }
 }
 
-/// Fast-path improvements for one probe: predict from one profiled
-/// static-equal run (re-anchored per cluster on sliced configs, see
-/// [`profile_anchor`]), falling back to exact simulation for near-zero
-/// predictions (sign must be simulation-confirmed) or an unusable profile.
-fn measure_fast(
-    point: &ExperimentConfig,
-    baseline: &ExperimentConfig,
-    bench: &BenchmarkSpec,
-    margin: f64,
-) -> (f64, f64) {
-    let profile = baseline.run_profiled(bench, &profile_anchor(baseline));
-    match BenchPredictor::from_outcome(&profile, &point.system) {
-        Some(p) => {
-            let (s, e) = p.improvements();
-            if s.abs() < margin || e.abs() < margin {
-                measure_exact(point, baseline, bench)
-            } else {
-                (s, e)
-            }
-        }
-        None => measure_exact(point, baseline, bench),
+/// Wave-1 job: profile `bench` under the point's baseline at
+/// [`profile_anchor`] and predict its improvements over (shared, equal).
+/// `None` sends the cell to exact simulation: the profile yields no
+/// predictor, or a predicted improvement lies within `margin` of zero
+/// (its sign must be simulation-confirmed).
+fn predict(at: &AxisPoint, bench: &BenchmarkSpec, margin: f64) -> Option<(f64, f64)> {
+    let profile = at.baseline.run_profiled(bench, &profile_anchor(&at.baseline));
+    let (s, e) = BenchPredictor::from_outcome(&profile, &at.point.system)?.improvements();
+    if s.abs() < margin || e.abs() < margin {
+        None
+    } else {
+        Some((s, e))
     }
 }
 
-/// Mean improvements of the dynamic scheme over (shared, equal) across the
-/// probe set for one configuration.
-fn measure_with(
-    point: &ExperimentConfig,
-    baseline: &ExperimentConfig,
+/// Mean improvements of the dynamic scheme over (shared, equal) across
+/// `probes`, for every point of one axis, in point order. Runs the axis
+/// as the two waves described in the module docs.
+fn measure_axis(
+    points: &[AxisPoint],
+    probes: &[BenchmarkSpec],
     mode: SweepMode,
-) -> (f64, f64) {
-    let mut vs_shared = Vec::new();
-    let mut vs_equal = Vec::new();
-    for b in probes() {
-        let (s, e) = match mode {
-            SweepMode::Exact => measure_exact(point, baseline, &b),
-            SweepMode::Fast { margin } => measure_fast(point, baseline, &b, margin),
-        };
-        vs_shared.push(s);
-        vs_equal.push(e);
-    }
-    (stats::mean(&vs_shared), stats::mean(&vs_equal))
+) -> Vec<(f64, f64)> {
+    // Every (point, probe) cell, point-major.
+    let cells: Vec<(usize, usize)> = (0..points.len())
+        .flat_map(|p| (0..probes.len()).map(move |b| (p, b)))
+        .collect();
+    let predicted: Vec<Option<(f64, f64)>> = match mode {
+        SweepMode::Exact => vec![None; cells.len()],
+        SweepMode::Fast { margin } => sched::weighted_map(
+            cells.clone(),
+            |&(p, b)| sched::job_cost(&probes[b], &points[p].baseline),
+            |&(p, b)| predict(&points[p], &probes[b], margin),
+        ),
+    };
+    // Each unsettled cell as (shared, static-equal) under the baseline
+    // configuration, then model-based under the point.
+    let exact_jobs: Vec<(&ExperimentConfig, &BenchmarkSpec, Scheme)> = cells
+        .iter()
+        .zip(&predicted)
+        .filter(|(_, pred)| pred.is_none())
+        .flat_map(|(&(p, b), _)| {
+            let (at, bench) = (&points[p], &probes[b]);
+            [
+                (&at.baseline, bench, Scheme::Shared),
+                (&at.baseline, bench, Scheme::StaticEqual),
+                (&at.point, bench, Scheme::ModelBased),
+            ]
+        })
+        .collect();
+    let outs = sched::weighted_map(
+        exact_jobs,
+        |&(cfg, bench, _)| sched::job_cost(bench, cfg),
+        |(cfg, bench, scheme)| cfg.run(bench, scheme),
+    );
+    let mut triples = outs.chunks_exact(3);
+    let improvements: Vec<(f64, f64)> = predicted
+        .into_iter()
+        .map(|pred| {
+            pred.unwrap_or_else(|| {
+                let o = triples.next().expect("one exact triple per unpredicted cell");
+                (o[2].improvement_percent_over(&o[0]), o[2].improvement_percent_over(&o[1]))
+            })
+        })
+        .collect();
+    improvements
+        .chunks(probes.len())
+        .map(|row| {
+            let vs_shared: Vec<f64> = row.iter().map(|&(s, _)| s).collect();
+            let vs_equal: Vec<f64> = row.iter().map(|&(_, e)| e).collect();
+            (stats::mean(&vs_shared), stats::mean(&vs_equal))
+        })
+        .collect()
 }
 
+/// Measures one axis over the probe set and renders one row per point.
+fn axis_table(
+    title: &str,
+    column: &str,
+    axis: Vec<(String, AxisPoint)>,
+    mode: SweepMode,
+) -> Table {
+    let (labels, points): (Vec<String>, Vec<AxisPoint>) = axis.into_iter().unzip();
+    let mut t = Table::new(title, &[column, "vs shared", "vs equal"]);
+    for (label, (s, e)) in labels.into_iter().zip(measure_axis(&points, &probes(), mode)) {
+        t.row(vec![label, pct(s), pct(e)]);
+    }
+    t
+}
 
 /// Sweeps the L2 capacity (way count held at 64; sets scale).
 ///
@@ -149,17 +207,15 @@ pub fn sweep_cache_size(cfg: &ExperimentConfig) -> Table {
 /// [`sweep_cache_size`] with an explicit evaluation mode.
 pub fn sweep_cache_size_with(cfg: &ExperimentConfig, mode: SweepMode) -> Table {
     let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-    let mut t = Table::new(
-        "Sweep: L2 capacity (dynamic scheme improvements, probe set)",
-        &["l2 size", "vs shared", "vs equal"],
-    );
-    for kb in [64u64, 128, 256, 512, 1024] {
-        let mut c = cfg.clone();
-        c.system.l2 = CacheConfig::new(kb * 1024, 64, 64);
-        let (s, e) = measure_with(&c, &c, mode);
-        t.row(vec![format!("{kb} KB"), pct(s), pct(e)]);
-    }
-    t
+    let axis = [64u64, 128, 256, 512, 1024]
+        .into_iter()
+        .map(|kb| {
+            let mut c = cfg.clone();
+            c.system.l2 = CacheConfig::new(kb * 1024, 64, 64);
+            (format!("{kb} KB"), AxisPoint::at(c))
+        })
+        .collect();
+    axis_table("Sweep: L2 capacity (dynamic scheme improvements, probe set)", "l2 size", axis, mode)
 }
 
 /// Sweeps the core/thread count at fixed L2 capacity (the Figure 22 axis,
@@ -171,16 +227,16 @@ pub fn sweep_thread_count(cfg: &ExperimentConfig) -> Table {
 /// [`sweep_thread_count`] with an explicit evaluation mode.
 pub fn sweep_thread_count_with(cfg: &ExperimentConfig, mode: SweepMode) -> Table {
     let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-    let mut t = Table::new(
+    let axis = [2usize, 4, 8, 16]
+        .into_iter()
+        .map(|cores| (cores.to_string(), AxisPoint::at(cfg.clone().with_cores(cores))))
+        .collect();
+    axis_table(
         "Sweep: cores/threads sharing one L2 (dynamic scheme improvements)",
-        &["cores", "vs shared", "vs equal"],
-    );
-    for cores in [2usize, 4, 8, 16] {
-        let c = cfg.clone().with_cores(cores);
-        let (s, e) = measure_with(&c, &c, mode);
-        t.row(vec![cores.to_string(), pct(s), pct(e)]);
-    }
-    t
+        "cores",
+        axis,
+        mode,
+    )
 }
 
 /// Sweeps the execution interval length (the paper reports "little
@@ -194,21 +250,26 @@ pub fn sweep_interval(cfg: &ExperimentConfig) -> Table {
 /// The static baselines are *hoisted*: interval boundaries only snapshot
 /// counters, so shared / static-equal walls are bit-identical at every
 /// interval length (pinned by `static_scheme_walls_are_interval_invariant`)
-/// and run once at the base interval — with a result cache attached, the
-/// other axis points hit instead of re-simulating.
+/// and run once at the base interval — the result cache serves the other
+/// axis points' requests as hits.
 pub fn sweep_interval_with(cfg: &ExperimentConfig, mode: SweepMode) -> Table {
     let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-    let mut t = Table::new(
+    let axis = [8u64, 4, 2, 1]
+        .into_iter()
+        .map(|divisor| {
+            let mut c = cfg.clone();
+            c.system.interval_instructions =
+                (cfg.system.interval_instructions / divisor).max(1_000);
+            let label = c.system.interval_instructions.to_string();
+            (label, AxisPoint { point: c, baseline: cfg.clone() })
+        })
+        .collect();
+    axis_table(
         "Sweep: execution interval length (dynamic scheme improvements)",
-        &["interval (instructions)", "vs shared", "vs equal"],
-    );
-    for divisor in [8u64, 4, 2, 1] {
-        let mut c = cfg.clone();
-        c.system.interval_instructions = (cfg.system.interval_instructions / divisor).max(1_000);
-        let (s, e) = measure_with(&c, cfg, mode);
-        t.row(vec![c.system.interval_instructions.to_string(), pct(s), pct(e)]);
-    }
-    t
+        "interval (instructions)",
+        axis,
+        mode,
+    )
 }
 
 /// Sweeps the DRAM latency: the slower memory is, the more a miss costs
@@ -220,17 +281,15 @@ pub fn sweep_memory_latency(cfg: &ExperimentConfig) -> Table {
 /// [`sweep_memory_latency`] with an explicit evaluation mode.
 pub fn sweep_memory_latency_with(cfg: &ExperimentConfig, mode: SweepMode) -> Table {
     let cfg = &cfg.with_default_trace_cache().with_default_result_cache();
-    let mut t = Table::new(
-        "Sweep: DRAM latency (dynamic scheme improvements)",
-        &["latency (cycles)", "vs shared", "vs equal"],
-    );
-    for mem in [75u64, 150, 300] {
-        let mut c = cfg.clone();
-        c.system.latency.memory = mem;
-        let (s, e) = measure_with(&c, &c, mode);
-        t.row(vec![mem.to_string(), pct(s), pct(e)]);
-    }
-    t
+    let axis = [75u64, 150, 300]
+        .into_iter()
+        .map(|mem| {
+            let mut c = cfg.clone();
+            c.system.latency.memory = mem;
+            (mem.to_string(), AxisPoint::at(c))
+        })
+        .collect();
+    axis_table("Sweep: DRAM latency (dynamic scheme improvements)", "latency (cycles)", axis, mode)
 }
 
 #[cfg(test)]
@@ -296,9 +355,11 @@ mod tests {
         let mut cfg = ExperimentConfig::test();
         // Keep the test fast: only verify the mechanics at two points.
         cfg.system.interval_instructions *= 2;
-        for cores in [2usize, 8] {
-            let c = cfg.clone().with_cores(cores);
-            let (s, e) = measure_with(&c, &c, SweepMode::Exact);
+        let points: Vec<AxisPoint> =
+            [2usize, 8].into_iter().map(|cores| AxisPoint::at(cfg.clone().with_cores(cores))).collect();
+        let rows = measure_axis(&points, &probes(), SweepMode::Exact);
+        assert_eq!(rows.len(), 2, "one row per point");
+        for ((s, e), cores) in rows.into_iter().zip([2, 8]) {
             assert!(s.is_finite() && e.is_finite(), "{cores} cores");
         }
     }
@@ -349,8 +410,14 @@ mod tests {
         );
         let profile = sliced.run_profiled(&suite::swim(), &anchor);
         assert!(BenchPredictor::from_outcome(&profile, &sliced.system).is_some());
-        let (s, e) = measure_fast(&sliced, &sliced, &suite::swim(), 0.0);
+        // Through the planner at margin 0: wave 1 settles the cell, so the
+        // only simulation is the profile itself.
+        let cache = crate::result_cache::ResultCache::shared();
+        let sliced = sliced.with_result_cache(std::sync::Arc::clone(&cache));
+        let rows = measure_axis(&[AxisPoint::at(sliced)], &[suite::swim()], SweepMode::Fast { margin: 0.0 });
+        let (s, e) = rows[0];
         assert!(s.is_finite() && e.is_finite());
+        assert_eq!(cache.simulations(), 1, "no fallback to exact simulation");
     }
 
     #[test]

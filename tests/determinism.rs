@@ -304,3 +304,31 @@ fn parallel_and_serial_sweeps_agree() {
         assert_eq!(p.wall_cycles, s.wall_cycles, "{scheme:?}");
     }
 }
+
+/// The two-wave sweep planner only moves *when* cells run: at every core
+/// budget the interval and thread-count axes render the same tables and
+/// leave the result cache with the same contents and counters, in exact
+/// and fast mode alike.
+#[test]
+fn sweep_waves_are_budget_invariant() {
+    use icp::experiments::sweeps::{self, SweepMode};
+    use icp::experiments::ResultCache;
+    for mode in [SweepMode::Exact, SweepMode::fast()] {
+        let mut reference = None;
+        for total in [1usize, 2, 4] {
+            let cache = ResultCache::shared();
+            let cfg = ExperimentConfig::test().with_result_cache(Arc::clone(&cache));
+            let tables = budget::scoped(CoreBudget::new(total), || {
+                [
+                    sweeps::sweep_interval_with(&cfg, mode).render(),
+                    sweeps::sweep_thread_count_with(&cfg, mode).render(),
+                ]
+            });
+            let got = (tables, cache.totals().digest, cache.simulations(), cache.hits());
+            match &reference {
+                None => reference = Some(got),
+                Some(want) => assert_eq!(&got, want, "{mode:?} at budget {total} diverged"),
+            }
+        }
+    }
+}

@@ -225,6 +225,51 @@ pub fn scoped<R>(budget: Arc<CoreBudget>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Maps `f` over `0..n` on workers leased from the [`current`] budget,
+/// returning outputs in index order. Up to `n - 1` extra tokens are
+/// leased; the indices are cut into one contiguous chunk per worker, the
+/// caller works chunk 0 while scoped workers run the rest, and chunks are
+/// joined in index order — so the output equals `(0..n).map(f)` whatever
+/// the grant. Tokens return at the join boundary (also on unwind); a
+/// panicking worker's payload is re-raised on the caller. With a dry pool
+/// the caller maps everything itself.
+pub fn map_chunked<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let lease = current().lease(n.saturating_sub(1));
+    let workers = (1 + lease.tokens()).min(n.max(1));
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let base = n / workers;
+    let extra = n % workers;
+    let mut starts = Vec::with_capacity(workers + 1);
+    let mut at = 0;
+    for i in 0..workers {
+        starts.push(at);
+        at += base + usize::from(i < extra);
+    }
+    starts.push(n);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = starts
+            .windows(2)
+            .skip(1)
+            .map(|w| {
+                let range = w[0]..w[1];
+                scope.spawn(move || range.map(f).collect::<Vec<_>>())
+            })
+            .collect();
+        let mut out: Vec<T> = (starts[0]..starts[1]).map(f).collect();
+        for h in handles {
+            match h.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
+    // `lease` drops here: tokens return at the join boundary.
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +354,36 @@ mod tests {
             assert!(w.contains(&format!("{raw:?}")), "warning names the value: {w}");
             assert!(w.contains("using 6 host cores"), "warning names the fallback: {w}");
         }
+    }
+
+    #[test]
+    fn map_chunked_keeps_index_order_and_returns_tokens() {
+        for total in [1usize, 2, 3, 8] {
+            let b = CoreBudget::new(total);
+            scoped(Arc::clone(&b), || {
+                for n in [0usize, 1, 2, 5, 16] {
+                    let out = map_chunked(n, |i| i * 10);
+                    assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>(), "n={n}");
+                }
+            });
+            assert_eq!(b.spare(), total - 1, "budget={total}: tokens leaked");
+            assert!(b.peak_threads() <= total, "budget={total}: over budget");
+        }
+    }
+
+    #[test]
+    fn map_chunked_reraises_worker_panics_and_returns_tokens() {
+        let b = CoreBudget::new(4);
+        let caught = std::panic::catch_unwind(|| {
+            scoped(Arc::clone(&b), || {
+                map_chunked(8, |i| {
+                    assert!(i != 7, "injected failure in the last chunk");
+                    i
+                })
+            })
+        });
+        assert!(caught.is_err(), "the worker's panic reaches the caller");
+        assert_eq!(b.spare(), 3, "tokens returned on unwind");
     }
 
     #[test]

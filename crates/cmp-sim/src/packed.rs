@@ -188,6 +188,11 @@ impl PackedBlock {
         &self.addrs
     }
 
+    /// The memory-level-parallelism column (tenths).
+    pub fn mlps(&self) -> &[u16] {
+        &self.mlps
+    }
+
     /// The barrier marker of index `b` (accesses delivered before it
     /// fires).
     #[inline]

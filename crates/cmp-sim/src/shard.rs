@@ -64,7 +64,7 @@ use crate::packed::{PackedBlock, PackedReplayStream, PackedTrace};
 use crate::perf::Measurable;
 use crate::simulator::{IntervalReport, Simulator, ThreadIntervalStats};
 use crate::stats::{GlobalStats, ThreadCounters};
-use crate::stream::{AccessStream, ThreadEvent};
+use crate::stream::AccessStream;
 use crate::umon::UtilityMonitor;
 use crate::ThreadId;
 
@@ -78,7 +78,10 @@ const DEMUX_BATCH: usize = 4096;
 /// into every sub-trace so cross-core ordering around a barrier holds
 /// within each slice. This is the shared demux engine behind both the
 /// set-striped decomposition here and the slice-hash decomposition in
-/// [`crate::slice`].
+/// [`crate::slice`]. Each refilled block is routed column by column —
+/// gap, address, write bit and MLP straight into the destination
+/// sub-trace, barrier markers replayed at their access positions — with
+/// no per-event decode.
 #[deterministic]
 pub(crate) fn demux_stream_by<S: AccessStream>(
     mut stream: S,
@@ -89,17 +92,18 @@ pub(crate) fn demux_stream_by<S: AccessStream>(
     let mut block = PackedBlock::with_capacity(DEMUX_BATCH);
     loop {
         stream.fill_packed(&mut block, DEMUX_BATCH);
-        for e in block.to_events() {
-            match e {
-                ThreadEvent::Access { gap, addr, write, mlp_tenths } => {
-                    out[key(addr)].push_access(gap, addr, write, mlp_tenths);
+        let (gaps, addrs, mlps) = (block.gaps(), block.addrs(), block.mlps());
+        let mut nb = 0;
+        for i in 0..=gaps.len() {
+            // Barriers due before access `i` (or at the block's end).
+            while nb < block.barrier_count() && block.barrier_at(nb) == i {
+                for t in &mut out {
+                    t.push_barrier();
                 }
-                ThreadEvent::Barrier => {
-                    for t in &mut out {
-                        t.push_barrier();
-                    }
-                }
-                ThreadEvent::Finished => {}
+                nb += 1;
+            }
+            if i < gaps.len() {
+                out[key(addrs[i])].push_access(gaps[i], addrs[i], block.write_at(i), mlps[i]);
             }
         }
         if block.finished() {
@@ -544,7 +548,7 @@ impl Measurable for ShardedSimulator {
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, LatencyConfig};
-    use crate::stream::ReplayStream;
+    use crate::stream::{ReplayStream, ThreadEvent};
 
     fn tiny_cfg() -> SystemConfig {
         SystemConfig {

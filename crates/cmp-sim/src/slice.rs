@@ -25,9 +25,12 @@
 //! # Execution and determinism
 //!
 //! Execution reuses the set-sharded engine ([`crate::shard`]) with the
-//! demux keyed by the slice hash instead of `set_index mod k`: each core's
-//! stream is split once into `N` per-slice packed sub-traces
-//! ([`crate::shard::demux_stream_by`]), slice `j` is simulated by a full
+//! demux keyed by the slice hash instead of `set_index mod k`. Each core's
+//! stream is split into `N` per-slice packed sub-traces
+//! ([`SliceTopology::demux`]) once per workload: the experiment harness
+//! keeps the split in its trace cache and builds every scheme's machine
+//! from the shared sub-traces with [`Llc::from_slices`]. Slice `j` is
+//! simulated by a full
 //! [`Simulator`](crate::simulator::Simulator) over the slice geometry, and
 //! per-slice intervals run on scoped worker threads, merged in fixed slice
 //! order ([`Llc::new`] degrades to the bit-identical in-order engine on
@@ -51,6 +54,7 @@ use icp_hot_path::deterministic;
 
 use crate::config::{CacheConfig, LlcConfig, SystemConfig};
 use crate::l2::{EnforcementKind, ReplacementKind};
+use crate::packed::PackedTrace;
 use crate::perf::Measurable;
 use crate::shard::{demux_stream_by, ShardedSimulator};
 use crate::simulator::IntervalReport;
@@ -114,6 +118,18 @@ impl SliceTopology {
         }
         let line = addr >> self.line_shift;
         (line.wrapping_mul(GOLDEN_GAMMA) >> (64 - self.slice_bits)) as usize
+    }
+
+    /// Splits one core's stream into its per-slice packed sub-traces
+    /// (index = slice), routing each access by [`Self::slice_of`] and
+    /// replicating barriers into every slice. One core's row of the
+    /// matrix [`Llc::from_slices`] takes.
+    #[deterministic]
+    pub fn demux<S: AccessStream>(&self, stream: S) -> Vec<Arc<PackedTrace>> {
+        demux_stream_by(stream, self.num_slices(), |addr| self.slice_of(addr))
+            .into_iter()
+            .map(Arc::new)
+            .collect()
     }
 }
 
@@ -185,10 +201,41 @@ impl Llc {
     /// mode only decides where slice intervals execute.
     #[deterministic]
     pub fn with_mode<S: AccessStream>(cfg: SystemConfig, streams: Vec<S>, parallel: bool) -> Self {
-        cfg.validate();
         assert_eq!(streams.len(), cfg.cores, "one stream per core");
         let topology = SliceTopology::of(&cfg);
+        let per_core = streams.into_iter().map(|s| topology.demux(s)).collect();
+        Self::from_slices_with_mode(cfg, per_core, parallel)
+    }
+
+    /// Builds the machine from streams that are already demuxed:
+    /// `per_core[c]` is [`SliceTopology::demux`] of core `c`'s stream under
+    /// `cfg`'s topology. Execution mode follows the core budget as in
+    /// [`Llc::new`]; the result is bit-identical to `Llc::new` over the
+    /// undemuxed streams. Sub-traces are shared, not copied, so one demux
+    /// can back any number of machines.
+    ///
+    /// # Panics
+    /// Panics if the config is invalid or `per_core` is not a
+    /// `cfg.cores` × slice-count matrix.
+    #[deterministic]
+    pub fn from_slices(cfg: SystemConfig, per_core: Vec<Vec<Arc<PackedTrace>>>) -> Self {
+        Self::from_slices_with_mode(cfg, per_core, crate::budget::current().total() >= 2)
+    }
+
+    /// [`Llc::from_slices`] with an explicit execution mode, as in
+    /// [`Llc::with_mode`].
+    #[deterministic]
+    pub fn from_slices_with_mode(
+        cfg: SystemConfig,
+        per_core: Vec<Vec<Arc<PackedTrace>>>,
+        parallel: bool,
+    ) -> Self {
+        let topology = SliceTopology::of(&cfg);
         let n = topology.num_slices();
+        assert!(
+            per_core.iter().all(|slices| slices.len() == n),
+            "every core must be demuxed into {n} slices"
+        );
         // Each slice simulator runs the slice geometry with a 1/N share of
         // the interval budget (rounded up, as in the shard engine); the
         // outer config keeps the full geometry so merged reports and way
@@ -197,15 +244,6 @@ impl Llc {
         slice_cfg.l2 = topology.slice_l2();
         slice_cfg.llc = LlcConfig::monolithic();
         slice_cfg.interval_instructions = cfg.interval_instructions.div_ceil(n as u64);
-        let per_core = streams
-            .into_iter()
-            .map(|s| {
-                demux_stream_by(s, n, |addr| topology.slice_of(addr))
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect()
-            })
-            .collect();
         Llc {
             inner: ShardedSimulator::from_demuxed(cfg, slice_cfg, per_core, parallel),
             topology,

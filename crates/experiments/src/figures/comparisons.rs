@@ -82,7 +82,9 @@ fn improvement_table(
 /// [`ExperimentConfig::with_topology`] entry point as the `eight_plus_core`
 /// scorecard tier — one code path for every 8+ core configuration. All
 /// three schemes run on the same machine, so the relative improvements
-/// remain comparable to the paper's monolithic-L2 figure.
+/// remain comparable to the paper's monolithic-L2 figure. Each benchmark
+/// is generated and demuxed to slices once, in a trace cache, and its
+/// three schemes replay that one slice form.
 pub fn fig22_eight_core(cfg: &ExperimentConfig) -> Table {
     let cfg8 = cfg.clone().with_topology(8, 2);
     let mut table = Table::new(
@@ -93,7 +95,9 @@ pub fn fig22_eight_core(cfg: &ExperimentConfig) -> Table {
     let mut vs_priv = Vec::new();
     let mut vs_shared = Vec::new();
     for b in &benches {
-        let outs = cfg8.run_schemes(
+        // Unless the caller shares a trace cache, each benchmark gets its
+        // own, so its slice form is freed once its schemes have run.
+        let outs = cfg8.with_default_trace_cache().run_schemes(
             b,
             &[Scheme::Shared, Scheme::StaticEqual, Scheme::ModelBased],
         );

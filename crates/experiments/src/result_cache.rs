@@ -143,6 +143,16 @@ impl ResultCache {
         ExecutionOutcome::clone(&out)
     }
 
+    /// Whether a request for `key` would be served without simulating:
+    /// the outcome is published in memory, or (for a persistent cache)
+    /// its entry file exists. A cheap presence probe — the file is not
+    /// parsed, so a stale or colliding file still reads as held here and
+    /// as a miss in [`ResultCache::get_or_run`].
+    pub fn holds(&self, key: &str, scheme_name: &str) -> bool {
+        let on_disk = |dir: &PathBuf| Self::entry_path(dir, key, scheme_name).is_file();
+        self.entries.is_ready(key) || self.dir.as_ref().is_some_and(on_disk)
+    }
+
     /// Number of simulations executed (cache misses).
     pub fn simulations(&self) -> u64 {
         self.simulations.load(Ordering::Relaxed)
@@ -439,6 +449,7 @@ fn outcome_from_json(j: &Json, scheme_name: &'static str) -> Option<ExecutionOut
 mod tests {
     use super::*;
     use crate::figures::context::SuiteData;
+    use crate::single_flight::within;
     use icp_workloads::suite;
 
     fn outcomes_equal(a: &ExecutionOutcome, b: &ExecutionOutcome) -> bool {
@@ -621,26 +632,6 @@ mod tests {
             decision_count: 0,
             decision_nanos: 0,
             umon_profile: None,
-        }
-    }
-
-    /// Runs `f` on its own thread and fails the test if it has not
-    /// finished within `secs` (a lost wake-up would otherwise hang).
-    fn within<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
-        use std::sync::mpsc::RecvTimeoutError;
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
-            Ok(out) => {
-                worker.join().unwrap();
-                out
-            }
-            Err(RecvTimeoutError::Timeout) => panic!("cache calls did not finish within {secs} s"),
-            Err(RecvTimeoutError::Disconnected) => {
-                std::panic::resume_unwind(worker.join().unwrap_err())
-            }
         }
     }
 

@@ -238,16 +238,47 @@ impl ExperimentConfig {
     /// with a profiling utility monitor attached when `profile` is set.
     /// Monolithic configs run the serial [`Simulator`]; sliced configs
     /// (`system.llc.slices > 1`) run the slice-parallel [`Llc`] machine —
-    /// same runtime loop either way, via the [`Machine`] trait.
+    /// same runtime loop either way, via the [`Machine`] trait. With a
+    /// trace cache, a sliced machine is built from the cache's slice form
+    /// ([`crate::trace_cache::TraceCache::get_or_demux`]), so the demux
+    /// runs once per workload rather than once per run.
     fn simulate(&self, spec: &BenchmarkSpec, scheme: &Scheme, profile: bool) -> ExecutionOutcome {
+        let sliced = self.system.llc.slices > 1;
+        if let (true, Some(cache)) = (sliced, &self.trace_cache) {
+            let slices = cache.get_or_demux(spec, &self.system, self.scale, self.seed);
+            return self.drive(&mut Llc::from_slices(self.system, slices), scheme, profile);
+        }
         let streams = match &self.trace_cache {
             Some(cache) => cache.replay_streams(spec, &self.system, self.scale, self.seed),
             None => spec.build_streams(&self.system, self.scale, self.seed),
         };
-        if self.system.llc.slices > 1 {
+        if sliced {
             self.drive(&mut Llc::new(self.system, streams), scheme, profile)
         } else {
             self.drive(&mut Simulator::new(self.system, streams), scheme, profile)
+        }
+    }
+
+    /// Builds `spec`'s (already normalised) cached workload on the calling
+    /// thread — the slice form for sliced configs, the flat form
+    /// otherwise — unless there is no trace cache or the result cache
+    /// already holds every scheme's plain run, when none of them would
+    /// read it.
+    fn prebuild(&self, spec: &BenchmarkSpec, schemes: &[Scheme]) {
+        let Some(cache) = &self.trace_cache else { return };
+        if let Some(results) = &self.result_cache {
+            let held = |s: &Scheme| {
+                let (key, name) = self.result_address(spec, s, false);
+                results.holds(&key, name)
+            };
+            if schemes.iter().all(held) {
+                return;
+            }
+        }
+        if self.system.llc.slices > 1 {
+            cache.get_or_demux(spec, &self.system, self.scale, self.seed);
+        } else {
+            cache.get_or_pack(spec, &self.system, self.scale, self.seed);
         }
     }
 
@@ -265,15 +296,24 @@ impl ExperimentConfig {
         runtime.execute(sim)
     }
 
+    /// The result-cache address of one run of `spec` (already
+    /// normalised): its key and the stored name. The name is the *policy*
+    /// name (what the outcome carries), not the scheme label — ablation
+    /// variants share a policy name but differ in the key.
+    fn result_address(
+        &self,
+        spec: &BenchmarkSpec,
+        scheme: &Scheme,
+        profile: bool,
+    ) -> (String, &'static str) {
+        (crate::result_cache::ResultCache::key(spec, self, scheme, profile), scheme.policy().name())
+    }
+
     fn run_inner(&self, bench: &BenchmarkSpec, scheme: &Scheme, profile: bool) -> ExecutionOutcome {
         let spec = self.normalized(bench);
         match &self.result_cache {
             Some(cache) => {
-                let key = crate::result_cache::ResultCache::key(&spec, self, scheme, profile);
-                // The stored name must be the *policy* name (what the
-                // outcome carries), not the scheme label — ablation
-                // variants share a policy name but differ in the key.
-                let name = scheme.policy().name();
+                let (key, name) = self.result_address(&spec, scheme, profile);
                 cache.get_or_run(key, name, || self.simulate(&spec, scheme, profile))
             }
             None => self.simulate(&spec, scheme, profile),
@@ -298,7 +338,17 @@ impl ExperimentConfig {
 
     /// Runs `bench` under several schemes on budget-leased workers,
     /// preserving order.
+    ///
+    /// Build first: with a trace cache, the workload every scheme replays
+    /// (its slice form on a sliced LLC) is built on the calling thread
+    /// *before* the fan-out, so generation and demux spread over every
+    /// budget token instead of running on one worker while the others
+    /// wait on the cache. The step is skipped when the result cache
+    /// already holds every requested scheme, in memory or as an entry
+    /// file, so a warm rerun generates nothing. It only moves when the
+    /// work runs; results are bit-identical either way.
     pub fn run_schemes(&self, bench: &BenchmarkSpec, schemes: &[Scheme]) -> Vec<ExecutionOutcome> {
+        self.prebuild(&self.normalized(bench), schemes);
         crate::sched::parallel_map(schemes.to_vec(), |s| self.run(bench, s))
     }
 

@@ -295,7 +295,11 @@ fn allocator_speedup(profile: &icp_cmp_sim::UmonProfile, clusters: usize) -> f64
 ///    weighted speedup over the equal split is equal or better than the
 ///    hill-climb's,
 /// 3. partitioning gains persist on sliced machines (16t and 8t).
+///
+/// Each topology's workload is generated and demuxed to slices once, in
+/// the trace cache; the profiled 16t run replays the same slice form.
 pub fn eight_plus_core_tier(cfg: &ExperimentConfig) -> Vec<Check> {
+    let cfg = &cfg.with_default_trace_cache();
     let bench = suite::mgrid();
     let c16 = cfg.clone().with_topology(16, 4);
     let outs = c16.run_schemes(

@@ -73,6 +73,18 @@ impl<V: Clone> SingleFlight<V> {
         (value, true)
     }
 
+    /// Whether `key` has a published value (an in-flight claim does not
+    /// count).
+    pub(crate) fn is_ready(&self, key: &str) -> bool {
+        matches!(self.lock().get(key), Some(Slot::Ready(_)))
+    }
+
+    /// True when no key is published or claimed.
+    #[cfg(test)]
+    pub(crate) fn is_vacant(&self) -> bool {
+        self.lock().is_empty()
+    }
+
     /// Folds the published values in key order; in-flight claims are
     /// skipped.
     pub(crate) fn fold_ready<A>(&self, init: A, mut f: impl FnMut(A, &V) -> A) -> A {
@@ -97,6 +109,27 @@ impl<V> Drop for Unclaim<'_, V> {
             let mut map = self.flight.slots.lock().unwrap_or_else(|e| e.into_inner());
             map.remove(self.key);
             self.flight.ready.notify_all();
+        }
+    }
+}
+
+/// Runs `f` on its own thread and fails the test if it has not finished
+/// within `secs` (a lost wake-up would otherwise hang).
+#[cfg(test)]
+pub(crate) fn within<R: Send + 'static>(secs: u64, f: impl FnOnce() -> R + Send + 'static) -> R {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(out) => {
+            worker.join().unwrap();
+            out
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("cache calls did not finish within {secs} s"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
         }
     }
 }

@@ -283,45 +283,10 @@ impl BenchmarkSpec {
             self.threads.len(),
             cfg.cores
         );
-        let n = self.threads.len();
-        let record = |t: usize| {
+        icp_cmp_sim::budget::map_chunked(self.threads.len(), |t| {
             let mut s = SyntheticStream::new(self, &self.threads[t], t, cfg, scale, seed);
             Arc::new(PackedTrace::record(&mut s, max_events))
-        };
-        let lease = icp_cmp_sim::budget::current().lease(n.saturating_sub(1));
-        let workers = (1 + lease.tokens()).min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return (0..n).map(record).collect();
-        }
-        // Contiguous chunks of thread indices, one per worker; the caller
-        // works chunk 0 while the leased workers run the rest. Chunk
-        // results concatenated in thread order reproduce the serial output.
-        let base = n / workers;
-        let extra = n % workers;
-        let mut starts = Vec::with_capacity(workers + 1);
-        let mut at = 0;
-        for i in 0..workers {
-            starts.push(at);
-            at += base + usize::from(i < extra);
-        }
-        starts.push(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..workers)
-                .map(|i| {
-                    let range = starts[i]..starts[i + 1];
-                    scope.spawn(move || range.map(record).collect::<Vec<_>>())
-                })
-                .collect();
-            let mut traces: Vec<Arc<PackedTrace>> = (starts[0]..starts[1]).map(record).collect();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => traces.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            traces
         })
-        // `lease` drops here: tokens return at the join boundary.
     }
 
     /// Re-targets the spec to `n` threads by cycling the existing thread

@@ -16,7 +16,8 @@ use icp::sim::l2::equal_split;
 use icp::sim::shard::ShardedSimulator;
 use icp::sim::slice::Llc;
 use icp::sim::stream::AccessStream;
-use icp::sim::{GlobalStats, PipelinedStream, SystemConfig};
+use icp::runtime::ExecutionOutcome;
+use icp::sim::{GlobalStats, PipelinedStream, SystemConfig, ThreadCounters};
 use icp::workloads::{suite, BenchmarkSpec, SyntheticStream, WorkloadScale};
 
 fn all_schemes() -> Vec<Scheme> {
@@ -302,6 +303,45 @@ fn parallel_and_serial_sweeps_agree() {
     for (scheme, p) in schemes.iter().zip(&parallel) {
         let s = cfg.run(&bench, scheme);
         assert_eq!(p.wall_cycles, s.wall_cycles, "{scheme:?}");
+    }
+}
+
+/// What a consumer of a run reads, minus host timing
+/// (`decision_nanos`).
+type OutcomeKey = (u64, Vec<ThreadCounters>, Vec<(Vec<u32>, Vec<u64>, Vec<u64>)>, u64);
+
+fn outcome_key(o: &ExecutionOutcome) -> OutcomeKey {
+    let records = o
+        .records
+        .iter()
+        .map(|r| (r.ways.clone(), r.l2_misses.clone(), r.instructions.clone()))
+        .collect();
+    (o.wall_cycles, o.thread_totals.clone(), records, o.decision_count)
+}
+
+/// The sliced `run_schemes` path — workload built before the fan-out,
+/// every scheme's `Llc` built from the trace cache's one slice form —
+/// is identical at budgets 1, 2 and 4, and equal to the same config run
+/// without a trace cache, where each run demuxes inline streams in
+/// `Llc::new`.
+#[test]
+fn sliced_run_schemes_is_budget_and_cache_invariant() {
+    use icp::experiments::ResultCache;
+    let base = ExperimentConfig::test().with_topology(8, 2);
+    let bench = suite::mgrid();
+    let schemes = [Scheme::Shared, Scheme::StaticEqual, Scheme::ModelBased];
+    let inline: Vec<OutcomeKey> =
+        base.run_schemes(&bench, &schemes).iter().map(outcome_key).collect();
+    for total in [1usize, 2, 4] {
+        let traces = TraceCache::shared();
+        let cfg = base
+            .clone()
+            .with_trace_cache(Arc::clone(&traces))
+            .with_result_cache(ResultCache::shared());
+        let outs = budget::scoped(CoreBudget::new(total), || cfg.run_schemes(&bench, &schemes));
+        let got: Vec<OutcomeKey> = outs.iter().map(outcome_key).collect();
+        assert_eq!(got, inline, "budget {total}: cached sliced runs diverged from inline");
+        assert_eq!((traces.generations(), traces.demuxes()), (1, 1), "budget {total}");
     }
 }
 

@@ -14,9 +14,12 @@
 //!    the same N slices on one thread in slice order.
 //!
 //! This suite pins both across every suite benchmark at N ∈ {1, 2, 4, 8},
-//! and sanity-checks the slice hash: no slice starves under the suite's
-//! Zipf-skewed address streams.
+//! pins a machine built from the trace cache's once-per-workload slice
+//! form (`Llc::from_slices` over `TraceCache::get_or_demux`) to one that
+//! demuxes inline streams itself, and sanity-checks the slice hash: no
+//! slice starves under the suite's Zipf-skewed address streams.
 
+use icp::experiments::TraceCache;
 use icp::sim::config::LlcConfig;
 use icp::sim::l2::equal_split;
 use icp::sim::slice::{Llc, SliceTopology};
@@ -112,6 +115,37 @@ fn parallel_identical_to_serial_reference_across_suite() {
             let b = run_sliced(reference);
 
             assert_eq!(a, b, "{} N={n}: parallel != serial reference", spec.name);
+        }
+    }
+}
+
+/// A machine built from the trace cache's slice form equals `Llc::new`
+/// over inline streams — interval reports, stats, events and wall clock —
+/// in forced-parallel and serial mode, at N ∈ {2, 4, 8}, for every suite
+/// workload. The cache demuxes each workload once and every machine
+/// shares the sub-traces, so this pins that sharing changes nothing.
+#[test]
+fn cached_slice_form_identical_to_inline_demux_across_suite() {
+    for spec in suite::all() {
+        for n in [2u32, 4, 8] {
+            let cfg = sliced_config(n);
+            let cache = TraceCache::new();
+            let mut inline = Llc::new(cfg, inline_streams(&spec, &cfg));
+            inline.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
+            let want = run_sliced(inline);
+            for parallel in [true, false] {
+                let slices = cache.get_or_demux(&spec, &cfg, WorkloadScale::Test, SEED);
+                let mut cached = Llc::from_slices_with_mode(cfg, slices, parallel);
+                cached.set_partition(&equal_split(cfg.l2.ways, cfg.cores));
+                assert_eq!(cached.is_parallel(), parallel);
+                let got = run_sliced(cached);
+                assert_eq!(
+                    got, want,
+                    "{} N={n} parallel={parallel}: cached slice form != inline demux",
+                    spec.name
+                );
+            }
+            assert_eq!((cache.generations(), cache.demuxes()), (1, 1), "{} N={n}", spec.name);
         }
     }
 }
